@@ -42,6 +42,21 @@ class StampContext:
         #: Transient time; ``None`` outside transient analysis.
         self.time = time
 
+    @classmethod
+    def over(cls, G: np.ndarray, C: np.ndarray | None, rhs: np.ndarray, *,
+             time: float | None = None,
+             source_scale: float = 1.0) -> StampContext:
+        """A context stamping into existing arrays (updated in place).
+
+        With ``C=None`` dynamic stamps are dropped: capacitors are open
+        in the DC Newton system.
+        """
+        ctx = cls.__new__(cls)
+        ctx.G, ctx.C, ctx.rhs = G, C, rhs
+        ctx.source_scale = source_scale
+        ctx.time = time
+        return ctx
+
     def add_g(self, i: int, j: int, value) -> None:
         """Add ``value`` to the conductance matrix entry ``(i, j)``."""
         if i < 0 or j < 0:
@@ -50,36 +65,12 @@ class StampContext:
 
     def add_c(self, i: int, j: int, value) -> None:
         """Add ``value`` to the dynamic matrix entry ``(i, j)``."""
-        if i < 0 or j < 0:
+        if i < 0 or j < 0 or self.C is None:
             return
         self.C[:, i, j] += value
 
     def add_rhs(self, i: int, value) -> None:
         """Add ``value`` to the excitation vector entry ``i``."""
-        if i < 0:
-            return
-        self.rhs[:, i] += value
-
-
-class _JacobianContext:
-    """Context handed to nonlinear ``load``: shares G/rhs with a parent."""
-
-    def __init__(self, G: np.ndarray, rhs: np.ndarray,
-                 source_scale: float = 1.0, time: float | None = None) -> None:
-        self.G = G
-        self.rhs = rhs
-        self.source_scale = source_scale
-        self.time = time
-
-    def add_g(self, i: int, j: int, value) -> None:
-        if i < 0 or j < 0:
-            return
-        self.G[:, i, j] += value
-
-    def add_c(self, i: int, j: int, value) -> None:  # capacitors open in DC
-        pass
-
-    def add_rhs(self, i: int, value) -> None:
         if i < 0:
             return
         self.rhs[:, i] += value
@@ -102,7 +93,10 @@ class Assembler:
 
     The linear stamps (R, C, L, controlled sources, source *topology*) never
     change during Newton iteration, so they are built once; each Newton step
-    copies them and adds the nonlinear device loads.
+    and each small-signal system copies them and adds the nonlinear device
+    stamps.  The cache lives as long as the assembler: after changing an
+    element value, solve with a new one (``dc_operating_point(circuit)``
+    builds one per call).
     """
 
     def __init__(self, circuit) -> None:
@@ -151,7 +145,8 @@ class Assembler:
         lin = self.linear(time=time)
         G = lin.G.copy()
         rhs = lin.rhs * source_scale
-        ctx = _JacobianContext(G, rhs, source_scale=source_scale, time=time)
+        ctx = StampContext.over(G, None, rhs, source_scale=source_scale,
+                                time=time)
         for element in self.circuit.nonlinear_elements():
             element.load(voltages, ctx)
         n_nodes = self.topology.n_nodes
@@ -168,9 +163,8 @@ class Assembler:
         ``G``/``C`` are real ``(B, N, N)``; the excitation is complex
         ``(B, N)`` collected from independent sources' AC values.
         """
-        ctx = StampContext(self.n, self.batch, source_scale=1.0)
-        for element in self.circuit:
-            element.stamp(ctx)
+        lin = self.linear()
+        ctx = StampContext.over(lin.G.copy(), lin.C.copy(), lin.rhs.copy())
         for element in self.circuit.nonlinear_elements():
             element.stamp_ac(op_voltages, ctx)
         ac = ACExcitationContext(self.n, self.batch)

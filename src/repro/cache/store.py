@@ -22,6 +22,7 @@ evictions for the service's operational metrics.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -191,7 +192,10 @@ class ResultCache:
         npz_path = self._npz(key)
         with self._lock:
             try:
-                with np.load(npz_path) as data:
+                # One read, then parse in memory: every file syscall is
+                # a point where a hit must win the GIL back from busy
+                # worker threads.
+                with np.load(io.BytesIO(npz_path.read_bytes())) as data:
                     stored = bytes(data[_FINGERPRINT_KEY]).decode("utf-8")
                     if stored != fingerprint:
                         raise ReproError("fingerprint mismatch")

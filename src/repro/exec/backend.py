@@ -8,8 +8,8 @@ those chunk tasks:
 
 * :class:`SerialBackend`  -- in-process loop (the reference semantics);
 * :class:`ThreadBackend`  -- :class:`~concurrent.futures.ThreadPoolExecutor`;
-  effective because the heavy lifting is NumPy linear algebra that
-  releases the GIL;
+  overlaps only the LAPACK calls (which release the GIL): circuit
+  building and device evaluation hold it;
 * :class:`ProcessBackend` -- a ``fork``-started multiprocessing pool.
   Chunk closures (evaluators capture design matrices, PDKs, circuit
   builders) are *inherited* by the forked workers rather than pickled,
@@ -113,9 +113,9 @@ class SerialBackend:
 class ThreadBackend:
     """Thread-pool execution.
 
-    Chunk evaluation is dominated by NumPy batched linear algebra, which
-    releases the GIL, so threads give real concurrency without any
-    serialisation cost.  Each task carries its own
+    No serialisation cost, but only partial concurrency: the LAPACK
+    calls inside a chunk release the GIL, while circuit building and
+    device evaluation hold it.  Each task carries its own
     :class:`numpy.random.Generator`, so no RNG state is shared between
     threads.
     """

@@ -6,8 +6,8 @@ users; this package is the serving layer over the workload abstraction
 (:mod:`repro.cache`):
 
 * :mod:`~repro.service.queue` -- an in-process :class:`JobQueue`:
-  submit/status/result/cancel over a worker-thread pool (the numeric
-  kernels release the GIL inside LAPACK), cache-first execution, per-job
+  submit/status/result/cancel over a worker-thread pool, cache-first
+  execution (hits are served on the submitting thread), per-job
   checkpointing, cooperative cancellation at checkpoint boundaries;
 * :mod:`~repro.service.requests` -- plain-JSON request -> live workload
   (``estimate`` and ``lint`` kinds), so identical requests from

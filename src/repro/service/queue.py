@@ -1,17 +1,19 @@
 """The in-process job queue: workloads over a worker-thread pool.
 
-Threads, not processes: the heavy lifting inside every workload is
-stacked LAPACK solves, which release the GIL, so a thread pool reaches
-real parallelism without pickling evaluator closures.  (The engines'
-*own* ``backend``/``workers`` knobs still apply inside each job; the
-queue's workers set how many jobs run concurrently.)
+Threads, not processes: a thread pool runs jobs without pickling
+evaluator closures.  Only the LAPACK calls inside a job (the DC Newton
+solves, the AC eigendecompositions) release the GIL; circuit building,
+device evaluation and the rest of a job hold it, so concurrent jobs
+overlap only partly.  (The engines' *own* ``backend``/``workers`` knobs
+still apply inside each job; the queue's workers set how many jobs run
+concurrently.)
 
 Execution is cache-first when a :class:`repro.cache.ResultCache` is
-attached: a job whose fingerprint is already stored completes without
-simulating.  With a checkpoint directory, resumable workloads write
-their checkpoint under their own content-address, so a cancelled or
-crashed job's successor -- even from a different queue instance --
-resumes instead of restarting.
+attached: a job whose fingerprint is already stored completes on the
+submitting thread, without simulating or waiting for a worker.  With a
+checkpoint directory, resumable workloads write their checkpoint under
+their own content-address, so a cancelled or crashed job's successor --
+even from a different queue instance -- resumes instead of restarting.
 """
 
 from __future__ import annotations
@@ -132,8 +134,40 @@ class JobQueue:
             job = Job(id=job_id, workload=workload)
             self._jobs[job_id] = job
             self._order.append(job_id)
-        self._todo.put(job)
+        if not self._serve_hit(job):
+            self._todo.put(job)
         return job_id
+
+    def _serve_hit(self, job: Job) -> bool:
+        """Finish ``job`` on the submitting thread if its result is cached.
+
+        A hit then never waits behind running jobs for a worker.  The
+        probe (``in``) is not a counted lookup, so a miss is looked up
+        once, by the worker's ``run_cached``.
+        """
+        workload = job.workload
+        if self.cache is None or not workload.cacheable:
+            return False
+        fingerprint = workload.fingerprint()
+        if fingerprint not in self.cache:
+            return False
+        job.state = "running"
+        job.started = time.monotonic()
+        try:
+            with telemetry.span("job.run", id=job.id, kind=workload.kind):
+                result = workload.cached_result(self.cache, fingerprint)
+        except Exception:
+            job.error = traceback.format_exc()
+            self._finish(job, "failed")
+            return True
+        if result is None:  # evicted or unreadable since the probe
+            job.state = "queued"
+            job.started = None
+            return False
+        job.result = result
+        job.cache_hit = True
+        self._finish(job, "done")
+        return True
 
     # -- inspection -------------------------------------------------------
     def _job(self, job_id: str) -> Job:

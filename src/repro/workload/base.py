@@ -148,6 +148,26 @@ class Workload(ABC):
     def _execute(self, *, checkpoint, progress) -> WorkloadResult:
         """Subclass hook: run with an already-guarded progress callback."""
 
+    def cached_result(self, cache, fingerprint: str | None = None
+                      ) -> WorkloadResult | None:
+        """This workload's stored result, or ``None`` on a miss.
+
+        One counted lookup in ``cache`` (a
+        :class:`repro.cache.ResultCache`); ``fingerprint`` saves
+        recomputing it when the caller already has it.
+        """
+        fingerprint = fingerprint or self.fingerprint()
+        hit = cache.get(fingerprint)
+        telemetry.emit("workload_cache", kind=self.kind, hit=hit is not None,
+                       key=fingerprint_key(fingerprint))
+        if hit is None:
+            return None
+        return WorkloadResult(
+            kind=self.kind, fingerprint=fingerprint, meta=hit.meta,
+            arrays=hit.arrays,
+            value=self._value_from_arrays(hit.arrays, hit.meta),
+            cache_hit=True)
+
     def run_cached(self, cache, *, checkpoint=None, progress=None,
                    cancel=None) -> WorkloadResult:
         """Cache-first execution: serve a hit, or run and store.
@@ -159,17 +179,9 @@ class Workload(ABC):
             return self.run(checkpoint=checkpoint, progress=progress,
                             cancel=cancel)
         fingerprint = self.fingerprint()
-        hit = cache.get(fingerprint)
+        hit = self.cached_result(cache, fingerprint)
         if hit is not None:
-            telemetry.emit("workload_cache", kind=self.kind, hit=True,
-                           key=fingerprint_key(fingerprint))
-            return WorkloadResult(
-                kind=self.kind, fingerprint=fingerprint, meta=hit.meta,
-                arrays=hit.arrays,
-                value=self._value_from_arrays(hit.arrays, hit.meta),
-                cache_hit=True)
-        telemetry.emit("workload_cache", kind=self.kind, hit=False,
-                       key=fingerprint_key(fingerprint))
+            return hit
         result = self.run(checkpoint=checkpoint, progress=progress,
                           cancel=cancel)
         cache.put(fingerprint, result.arrays, meta=result.meta)

@@ -15,6 +15,7 @@ from typing import ClassVar
 
 import pytest
 
+from repro import telemetry
 from repro.cache import ResultCache
 from repro.errors import JobCancelled, WorkloadError
 from repro.mc import MCConfig
@@ -23,6 +24,7 @@ from repro.process import C35
 from repro.service import (JOB_STATES, JobQueue, job_statuses, read_status,
                            request_cancel, request_stats, request_stop,
                            serve, submit_request, workload_from_request)
+from repro.telemetry import load_events
 from repro.workload import StreamingYieldWorkload, Workload
 
 SPECS = SpecSet([Spec("metric", "ge", 10.0)])
@@ -113,6 +115,45 @@ class TestJobQueue:
         assert sum(result.cache_hit for result in results) == 3
         estimates = [result.value[0] for result in results]
         assert all(estimate == estimates[0] for estimate in estimates)
+
+    def test_cache_hit_finishes_on_submitting_thread(self, tmp_path):
+        # With the only worker busy, a hit still completes inside
+        # submit(): it never queues behind running work.
+        cache = ResultCache(tmp_path / "cache")
+        done_before = telemetry.REGISTRY.counter_value("jobs.done")
+        with JobQueue(workers=1, cache=cache) as jobs:
+            first = jobs.result(jobs.submit(yield_workload()), timeout=30)
+            blocker = jobs.submit(SlowWorkload())
+            with telemetry.session(tmp_path / "events.jsonl"):
+                hit_id = jobs.submit(yield_workload())
+            status = jobs.status(hit_id)
+            assert status["state"] == "done"
+            assert status["cache_hit"]
+            assert jobs.status(blocker)["state"] in ("queued", "running")
+            second = jobs.result(hit_id, timeout=0)
+            jobs.cancel(blocker)
+        assert second.cache_hit
+        assert second.value[0] == first.value[0]
+        # One counted lookup per job: the first job's miss, then the hit.
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+        assert cache.stats.stores == 1
+        assert telemetry.REGISTRY.counter_value("jobs.done") - done_before == 2
+        spans = [event for event in load_events(tmp_path / "events.jsonl")
+                 if event.get("name") == "job.run"]
+        assert {event["type"] for event in spans} == {"span_open",
+                                                      "span_close"}
+        assert all(event["attrs"]["id"] == hit_id for event in spans)
+
+    def test_queued_duplicate_is_a_hit_not_a_rerun(self, tmp_path):
+        # Both submissions miss at submit time; the second, run after the
+        # first stored its result, is served from the cache by the worker.
+        cache = ResultCache(tmp_path)
+        with JobQueue(workers=1, cache=cache) as jobs:
+            ids = [jobs.submit(yield_workload(seed=3)) for _ in range(2)]
+            results = [jobs.result(job_id, timeout=30) for job_id in ids]
+        assert [result.cache_hit for result in results] == [False, True]
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+        assert cache.stats.stores == 1
 
     def test_cancel_running_job(self):
         with JobQueue(workers=1) as jobs:
