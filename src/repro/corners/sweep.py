@@ -30,6 +30,7 @@ import numpy as np
 
 from ..errors import ReproError
 from ..exec import resolve_backend
+from ..mc.lanes import plan_lanes, run_lanes
 from ..measure.specs import SpecSet
 from ..process.pdk import ProcessKit
 from .grid import CornerGrid
@@ -77,12 +78,6 @@ class CornerSweepResult:
         return format_corner_table(self.grid, self.performance, specs)
 
 
-def _chunk_bounds(total: int, chunk: int) -> list[tuple[int, int]]:
-    chunk = max(1, chunk)
-    return [(start, min(start + chunk, total))
-            for start in range(0, total, chunk)]
-
-
 def corner_sweep(evaluator, pdk: ProcessKit, grid: CornerGrid, *,
                  backend=None, workers: int = 0,
                  chunk_lanes: int = 0) -> CornerSweepResult:
@@ -99,25 +94,22 @@ def corner_sweep(evaluator, pdk: ProcessKit, grid: CornerGrid, *,
         Only relevant when the grid is split into several chunks.
     chunk_lanes:
         Upper bound on simultaneous lanes per stacked solve; ``0`` (the
-        default) solves the whole grid in one stack.  Results are
-        bit-identical for any value.
+        default) solves the whole grid in one stack; negative values
+        are rejected.  Results are bit-identical for any value.
 
     Returns
     -------
     A :class:`CornerSweepResult` in grid lane order.
     """
     sample = grid.realize(pdk)
-    bounds = _chunk_bounds(grid.size, chunk_lanes or grid.size)
+    plan = plan_lanes(grid.size, chunk_lanes or grid.size)
 
-    def run_chunk(bound):
-        start, stop = bound
-        performance = evaluator(sample.lanes(start, stop))
-        return {name: np.asarray(values, dtype=float).reshape(-1)
-                for name, values in performance.items()}
+    def run_task(task):
+        start, stop, _ = task
+        return evaluator(sample.lanes(start, stop))
 
-    parts = resolve_backend(backend, workers).run(run_chunk, bounds)
-    performance = {name: np.concatenate([part[name] for part in parts])
-                   for name in parts[0]}
+    performance = run_lanes(plan, run_task,
+                            resolve_backend(backend, workers))
     for name, values in performance.items():
         if values.size != grid.size:
             raise ReproError(
@@ -145,9 +137,9 @@ def corner_sweep_points(evaluator, n_points: int, pdk: ProcessKit,
         ``grid.size`` and the same grid lanes repeated for every point.
     chunk_lanes:
         Upper bound on simultaneous lanes (points x grid size) per
-        stacked solve; ``0`` solves everything in one stack.  Each
-        point's grid block is atomic, so the effective bound is
-        ``max(chunk_lanes, grid.size)``.
+        stacked solve; ``0`` solves everything in one stack (negative
+        values are rejected).  Each point's grid block is atomic, so
+        the effective bound is ``max(chunk_lanes, grid.size)``.
     progress:
         Optional callback ``(points_done, n_points)``.
 
@@ -156,34 +148,16 @@ def corner_sweep_points(evaluator, n_points: int, pdk: ProcessKit,
     Mapping performance name -> ``(n_points, grid.size)`` array.
     """
     sample = grid.realize(pdk)
-    lanes = chunk_lanes or n_points * grid.size
-    points_per_chunk = max(1, lanes // grid.size)
-    bounds = _chunk_bounds(n_points, points_per_chunk)
+    plan = plan_lanes(n_points, chunk_lanes or max(1, n_points * grid.size),
+                      lanes_per_unit=grid.size)
 
-    def run_chunk(bound):
-        start, stop = bound
+    def run_task(task):
+        start, stop, _ = task
         indices = np.arange(start, stop)
-        die_sample = sample.tiled(indices.size)
-        performance = evaluator(indices, grid.size, die_sample)
-        return {name: np.asarray(values, dtype=float).reshape(
-                    indices.size, grid.size)
-                for name, values in performance.items()}
+        return evaluator(indices, grid.size, sample.tiled(indices.size))
 
-    on_done = None
-    if progress is not None:
-        sizes = [stop - start for start, stop in bounds]
-        state = {"points": 0}
-
-        def on_done(done, total, index):
-            state["points"] += sizes[index]
-            progress(state["points"], n_points)
-
-    parts = resolve_backend(backend, workers).run(run_chunk, bounds,
-                                                  progress=on_done)
-    if not parts:
-        return {}
-    return {name: np.concatenate([part[name] for part in parts], axis=0)
-            for name in parts[0]}
+    return run_lanes(plan, run_task, resolve_backend(backend, workers),
+                     progress)
 
 
 def corner_sweep_sequential(evaluator, pdk: ProcessKit,

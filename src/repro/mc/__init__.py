@@ -3,7 +3,7 @@
 from .engine import MCConfig, monte_carlo, monte_carlo_points
 from .sampler import child_streams, latin_hypercube_normal, stream
 from .statistics import PopulationSummary, cpk, relative_spread_pct, summarize
-from .streaming import (AdaptiveStop, P2Quantile, QuantileSketch,
+from .streaming import (AdaptiveStop, QuantileSketch,
                         StreamingAccumulator, StreamingMoments,
                         StreamingResult, YieldCounter,
                         monte_carlo_streaming)
@@ -12,7 +12,7 @@ __all__ = [
     "MCConfig", "monte_carlo", "monte_carlo_points",
     "child_streams", "latin_hypercube_normal", "stream",
     "PopulationSummary", "cpk", "relative_spread_pct", "summarize",
-    "AdaptiveStop", "P2Quantile", "QuantileSketch",
+    "AdaptiveStop", "QuantileSketch",
     "StreamingAccumulator", "StreamingMoments", "StreamingResult",
     "YieldCounter", "monte_carlo_streaming",
 ]

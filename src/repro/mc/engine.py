@@ -22,8 +22,8 @@ engine.
 Chunking, seeding, and parallelism
 ----------------------------------
 Work is decomposed into chunks of at most ``chunk_lanes`` simultaneous
-batch lanes.  Each chunk owns a private child random stream spawned from
-``(seed, stage-key)`` (see :func:`repro.mc.sampler.child_streams`), and a
+batch lanes by the lane plan (:mod:`repro.mc.lanes`).  Each chunk owns a
+private child random stream spawned from ``(seed, stage-key)``, and a
 chunk's evaluation touches no state outside itself.  Consequences:
 
 * Results are **bit-reproducible** for a fixed ``MCConfig`` -- including
@@ -50,7 +50,7 @@ from .. import telemetry
 from ..errors import ReproError
 from ..exec import Backend, resolve_backend
 from ..process.pdk import ProcessKit
-from .sampler import child_streams, stream
+from .lanes import check_chunk_lanes, plan_lanes, run_lanes
 
 __all__ = ["MCConfig", "monte_carlo", "monte_carlo_points"]
 
@@ -110,77 +110,38 @@ class MCConfig:
         if self.n_samples < 1:
             raise ReproError(
                 f"MCConfig.n_samples must be >= 1, got {self.n_samples}")
-        if self.chunk_lanes < 1:
-            raise ReproError(
-                f"MCConfig.chunk_lanes must be >= 1, got {self.chunk_lanes}")
+        check_chunk_lanes(self.chunk_lanes, "MCConfig.chunk_lanes")
         if self.workers < 0:
             raise ReproError(
                 f"MCConfig.workers must be >= 0 (0 = one per CPU), "
                 f"got {self.workers}")
 
 
-def _plan_single_chunks(config: MCConfig, stage: str = "mc-single"):
-    """Chunk plan of a single-design MC run: ``(start, stop, rng)`` bounds.
+def _dies(pdk: ProcessKit, config: MCConfig, lanes: int, rng):
+    """Draw ``lanes`` die realisations from a chunk's stream."""
+    return pdk.sample(lanes, rng, include_global=config.include_global,
+                      include_mismatch=config.include_mismatch)
+
+
+def _single_design_lanes(evaluator, pdk: ProcessKit, config: MCConfig,
+                         stage: str = "mc-single"):
+    """Lane plan and chunk task of a single-design MC run.
 
     Shared by :func:`monte_carlo` and the streaming driver
-    (:func:`repro.mc.streaming.monte_carlo_streaming`), so both walk the
-    *identical* chunk geometry and random streams for a given config --
-    a streaming run reduces exactly the population a batch run would
-    concatenate, and an adaptively-stopped run reduces a prefix of it
-    (child streams are prefix-stable, see
-    :func:`repro.mc.sampler.child_streams`).
-
-    A single-chunk plan (the common verification case) uses the same
-    ``(seed, stage)`` stream as ever, so historical seeds keep producing
-    identical populations.
+    (:func:`repro.mc.streaming.monte_carlo_streaming`), so a streaming
+    run reduces exactly the population a batch run concatenates, and an
+    adaptively-stopped run reduces a prefix of it.  A one-chunk plan
+    keeps the historical ``(seed, stage)`` stream, so historical seeds
+    keep producing identical populations.
     """
-    total = config.n_samples
-    lanes = config.chunk_lanes
-    n_chunks = max(1, (total + lanes - 1) // lanes)
-    if n_chunks == 1:
-        rngs = [stream(config.seed, stage)]
-    else:
-        rngs = child_streams(config.seed, stage, n_chunks)
-    return [(i * lanes, min((i + 1) * lanes, total), rngs[i])
-            for i in range(n_chunks)]
+    plan = plan_lanes(config.n_samples, config.chunk_lanes,
+                      seed=config.seed, stage=stage, single_stream=True)
 
-
-def _single_chunk_runner(evaluator, pdk: ProcessKit, config: MCConfig):
-    """The per-chunk task of a single-design MC run: draw the chunk's die
-    realisations from its private stream, evaluate, normalise the
-    performance arrays.  Shared by the batch and streaming drivers."""
-
-    def run_chunk(task):
+    def run_task(task):
         start, stop, rng = task
-        with telemetry.span("mc.chunk", lanes=stop - start, start=start):
-            telemetry.counter_add("mc.lanes", stop - start)
-            sample = pdk.sample(stop - start, rng,
-                                include_global=config.include_global,
-                                include_mismatch=config.include_mismatch)
-            performance = evaluator(sample)
-            return {name: np.asarray(values, dtype=float).reshape(-1)
-                    for name, values in performance.items()}
+        return evaluator(_dies(pdk, config, stop - start, rng))
 
-    return run_chunk
-
-
-def _run_chunks(backend, run_chunk, chunk_bounds, progress, total_units):
-    """Execute chunk tasks on ``backend``; adapt progress to work units.
-
-    ``progress`` (if given) is called with cumulative completed units
-    (points or samples) out of ``total_units``, monotonically, whatever
-    order chunks finish in.
-    """
-    on_done = None
-    if progress is not None:
-        sizes = [stop - start for start, stop, _ in chunk_bounds]
-        state = {"units": 0}
-
-        def on_done(done, total, index):
-            state["units"] += sizes[index]
-            progress(state["units"], total_units)
-
-    return backend.run(run_chunk, chunk_bounds, progress=on_done)
+    return plan, run_task
 
 
 def monte_carlo(evaluator, pdk: ProcessKit,
@@ -209,14 +170,11 @@ def monte_carlo(evaluator, pdk: ProcessKit,
     keep producing identical populations.
     """
     config = config or MCConfig()
-    total = config.n_samples
-    bounds = _plan_single_chunks(config)
-    run_chunk = _single_chunk_runner(evaluator, pdk, config)
+    plan, run_task = _single_design_lanes(evaluator, pdk, config)
     backend = resolve_backend(config.backend, config.workers)
-    with telemetry.span("mc.single", samples=total, chunks=len(bounds)):
-        parts = _run_chunks(backend, run_chunk, bounds, progress, total)
-    return {name: np.concatenate([part[name] for part in parts])
-            for name in parts[0]}
+    with telemetry.span("mc.single", samples=config.n_samples,
+                        chunks=len(plan)):
+        return run_lanes(plan, run_task, backend, progress)
 
 
 def monte_carlo_points(evaluator, n_points: int, pdk: ProcessKit,
@@ -248,33 +206,16 @@ def monte_carlo_points(evaluator, n_points: int, pdk: ProcessKit,
     """
     config = config or MCConfig()
     samples = config.n_samples
-    points_per_chunk = max(1, config.chunk_lanes // samples)
-    n_chunks = (n_points + points_per_chunk - 1) // points_per_chunk
-    streams = child_streams(config.seed, stage, n_chunks)
-    bounds = [(start, min(start + points_per_chunk, n_points),
-               streams[index])
-              for index, start in enumerate(
-                  range(0, n_points, points_per_chunk))]
+    plan = plan_lanes(n_points, config.chunk_lanes, lanes_per_unit=samples,
+                      seed=config.seed, stage=stage)
 
-    def run_chunk(task):
+    def run_task(task):
         start, stop, rng = task
         indices = np.arange(start, stop)
-        with telemetry.span("mc.chunk", lanes=indices.size * samples,
-                            points=int(indices.size), start=start):
-            telemetry.counter_add("mc.lanes", indices.size * samples)
-            die_sample = pdk.sample(indices.size * samples, rng,
-                                    include_global=config.include_global,
-                                    include_mismatch=config.include_mismatch)
-            performance = evaluator(indices, samples, die_sample)
-            return {name: np.asarray(values, dtype=float).reshape(
-                        indices.size, samples)
-                    for name, values in performance.items()}
+        return evaluator(indices, samples,
+                         _dies(pdk, config, indices.size * samples, rng))
 
     backend = resolve_backend(config.backend, config.workers)
     with telemetry.span("mc.points", points=n_points, samples=samples,
-                        stage=stage, chunks=len(bounds)):
-        parts = _run_chunks(backend, run_chunk, bounds, progress, n_points)
-    if not parts:
-        return {}
-    return {name: np.concatenate([part[name] for part in parts], axis=0)
-            for name in parts[0]}
+                        stage=stage, chunks=len(plan)):
+        return run_lanes(plan, run_task, backend, progress)

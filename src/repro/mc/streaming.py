@@ -48,12 +48,13 @@ from ..cache import atomic_write_npz, canonical_fingerprint
 from ..errors import ReproError
 from ..exec import resolve_backend
 from ..process.pdk import ProcessKit
-from .engine import MCConfig, _plan_single_chunks, _single_chunk_runner
+from .engine import MCConfig, _single_design_lanes
+from .lanes import lane_parts
 from .statistics import (PopulationSummary, _cpk_from_moments,
                          _mean_is_degenerate)
 
 __all__ = [
-    "StreamingMoments", "P2Quantile", "QuantileSketch",
+    "StreamingMoments", "QuantileSketch",
     "StreamingAccumulator", "YieldCounter", "AdaptiveStop",
     "StreamingResult", "monte_carlo_streaming",
 ]
@@ -148,99 +149,6 @@ class StreamingMoments:
         moments.minimum = float(state[3])
         moments.maximum = float(state[4])
         return moments
-
-
-class P2Quantile:
-    """Single-quantile P² estimator (Jain & Chlamtac, 1985).
-
-    The classic constant-memory online quantile: five markers whose
-    heights are adjusted by a piecewise-parabolic interpolation as
-    samples stream in.  Use it when one quantile of an unbounded stream
-    must be tracked in O(1) memory and approximate answers suffice; the
-    engine's accumulators use the *mergeable* :class:`QuantileSketch`
-    instead (P² state cannot be combined across shards).
-
-    Below five observations the estimator simply interpolates the
-    sorted buffer, so small streams are exact.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increment")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must lie in (0, 1)")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                         3.0 + 2.0 * q, 5.0]
-        self._increment = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def update(self, values) -> "P2Quantile":
-        """Fold samples into the estimate (scalar P² marker updates)."""
-        for value in np.asarray(values, dtype=float).reshape(-1):
-            if math.isnan(value):
-                raise ValueError(
-                    "samples contain NaN; repair failed lanes first")
-            self._observe(float(value))
-        return self
-
-    def _observe(self, x: float) -> None:
-        h = self._heights
-        if len(h) < 5:
-            h.append(x)
-            h.sort()
-            return
-        # Locate the cell and bump marker positions above it.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = next(i for i in range(4) if h[i] <= x < h[i + 1])
-        pos = self._positions
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increment[i]
-        # Adjust the three interior markers toward their desired ranks.
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or \
-               (d <= -1.0 and pos[i - 1] - pos[i] < -1.0):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # parabolic prediction left the bracket: linear
-                    j = i + int(step)
-                    h[i] += step * (h[j] - h[i]) / (pos[j] - pos[i])
-                pos[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step) * (h[i + 1] - h[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step) * (h[i] - h[i - 1])
-            / (pos[i] - pos[i - 1]))
-
-    @property
-    def n(self) -> int:
-        """Number of samples observed."""
-        if len(self._heights) < 5:
-            return len(self._heights)
-        return int(self._positions[4])
-
-    def value(self) -> float:
-        """Current quantile estimate."""
-        if not self._heights:
-            raise ValueError("no samples observed")
-        if len(self._heights) < 5:
-            return float(np.quantile(np.array(self._heights), self.q))
-        return self._heights[2]
 
 
 class QuantileSketch:
@@ -814,8 +722,7 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
     worker count.
     """
     config = config or MCConfig()
-    bounds = _plan_single_chunks(config, stage)
-    run_chunk = _single_chunk_runner(evaluator, pdk, config)
+    plan, run_task = _single_design_lanes(evaluator, pdk, config, stage)
     backend = resolve_backend(config.backend, config.workers)
     if adaptive is not None and adaptive.metric == "yield" and specs is None:
         raise ReproError("adaptive yield stopping needs a spec set")
@@ -840,7 +747,7 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
         round_size = max(1, backend.workers)
 
     def samples_done() -> int:
-        return bounds[cursor - 1][1] if cursor else 0
+        return plan.tasks[cursor - 1][1] if cursor else 0
 
     def at_check_boundary() -> bool:
         # Stopping checks happen only at absolute multiples of the
@@ -849,7 +756,7 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
         # run evaluates the stop rule at exactly the cursors an
         # uninterrupted run would, keeping the bit-identical-resume
         # contract for any check_every.
-        return cursor % round_size == 0 or cursor == len(bounds)
+        return cursor % round_size == 0 or cursor == len(plan)
 
     stopped_early = False
     interrupted = False
@@ -863,7 +770,7 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
     chunks_this_call = 0
     with telemetry.span("mc.stream", stage=stage, cap=config.n_samples,
                         resumed=resumed_cursor) as stream_span:
-        while cursor < len(bounds) and not stopped_early:
+        while cursor < len(plan) and not stopped_early:
             if max_chunks is not None and chunks_this_call >= max_chunks:
                 interrupted = True
                 break
@@ -873,9 +780,9 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
             take = round_size - cursor % round_size
             if max_chunks is not None:
                 take = min(take, max_chunks - chunks_this_call)
-            tasks = bounds[cursor:cursor + take]
+            round_plan = plan[cursor:cursor + take]
             telemetry.counter_add("mc.stream.rounds")
-            parts = backend.run(run_chunk, tasks)
+            parts = lane_parts(round_plan, run_task, backend)
             # Fold in task-submission order: deterministic on every
             # backend.
             for part in parts:
@@ -886,8 +793,8 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
                     accumulators[name].update(values)
                 if counter is not None:
                     counter.update(part)
-            cursor += len(tasks)
-            chunks_this_call += len(tasks)
+            cursor += len(round_plan)
+            chunks_this_call += len(round_plan)
             if checkpoint_path is not None:
                 _write_checkpoint(checkpoint_path, fingerprint, cursor,
                                   accumulators, counter)
@@ -909,8 +816,8 @@ def monte_carlo_streaming(evaluator, pdk: ProcessKit,
         samples_done=samples_done(),
         samples_cap=config.n_samples,
         chunks_done=cursor,
-        chunks_total=len(bounds),
-        samples_resumed=(bounds[resumed_cursor - 1][1]
+        chunks_total=len(plan),
+        samples_resumed=(plan.tasks[resumed_cursor - 1][1]
                          if resumed_cursor else 0),
         stopped_early=stopped_early,
         interrupted=interrupted,

@@ -65,8 +65,8 @@ from ..corners.sweep import corner_sweep_points
 from ..errors import OptimizationError
 from ..exec import resolve_backend
 from ..flow.accounting import SimulationLedger
-from ..mc.sampler import (_key_to_int, child_streams, erf,
-                          latin_hypercube_normal, stream)
+from ..mc.lanes import check_chunk_lanes, evaluate_sigma_lanes
+from ..mc.sampler import _key_to_int, erf, latin_hypercube_normal, stream
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit
 from ..surrogate.regression import SURROGATE_KINDS, fit_surrogate
@@ -204,6 +204,8 @@ class LadderConfig:
                 f"(known: {', '.join(SURROGATE_KINDS)})")
         if not 0.0 < self.yield_target < 1.0:
             raise OptimizationError("yield_target must lie in (0, 1)")
+        check_chunk_lanes(self.chunk_lanes, "LadderConfig.chunk_lanes",
+                          OptimizationError)
 
     def corner_grid(self, pdk: ProcessKit) -> CornerGrid:
         """The fidelity-0 grid: named corners x nominal-only V/T unless
@@ -419,39 +421,6 @@ class EstimatorLadder:
         return yield0, std0, np.clip(z_min, -_Z_CLAMP, _Z_CLAMP), decisive
 
     # -- fidelity 1: surrogate classification -------------------------------
-    def _sigma_sweep(self, evaluator, indices: np.ndarray,
-                     xs: np.ndarray) -> dict[str, np.ndarray]:
-        """Evaluate escalated candidates at per-candidate sigma-unit
-        coordinates, stacked into lane-bounded chunks through the
-        execution backends (per-chunk mismatch child streams, so results
-        are backend-invariant).  ``xs`` is ``(E, T, len(GLOBAL_DIMS))``;
-        returns name -> ``(E, T)``."""
-        config = self.config
-        n_escalated, n_train, _ = xs.shape
-        per_chunk = max(1, config.chunk_lanes // n_train)
-        n_chunks = (n_escalated + per_chunk - 1) // per_chunk
-        rngs = child_streams(config.seed, f"ladder-train-mm-{self._batch_no}",
-                             n_chunks)
-        bounds = [(i * per_chunk, min((i + 1) * per_chunk, n_escalated),
-                   rngs[i]) for i in range(n_chunks)]
-
-        def run_chunk(task):
-            chunk_start, chunk_stop, rng = task
-            coords = xs[chunk_start:chunk_stop].reshape(-1, len(GLOBAL_DIMS))
-            sample = self.pdk.sample_from_sigma(
-                coords, rng=rng if config.include_mismatch else None,
-                include_mismatch=config.include_mismatch)
-            performance = evaluator(indices[chunk_start:chunk_stop],
-                                    n_train, sample)
-            return {name: np.asarray(values, dtype=float).reshape(
-                        chunk_stop - chunk_start, n_train)
-                    for name, values in performance.items()}
-
-        parts = resolve_backend(config.backend, config.workers).run(
-            run_chunk, bounds)
-        return {name: np.concatenate([part[name] for part in parts], axis=0)
-                for name in parts[0]}
-
     def _surrogate_stage(self, evaluator, indices: np.ndarray,
                          uids: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -466,7 +435,13 @@ class EstimatorLadder:
                 stream(config.seed, f"ladder-train-{uids[row]}"),
                 config.surrogate_train, dims)
             for row in range(indices.size)])
-        responses = self._sigma_sweep(evaluator, indices, xs)
+        responses = evaluate_sigma_lanes(
+            evaluator, self.pdk, xs, seed=config.seed,
+            stage=f"ladder-train-mm-{self._batch_no}",
+            include_mismatch=config.include_mismatch,
+            chunk_lanes=config.chunk_lanes,
+            backend=resolve_backend(config.backend, config.workers),
+            points=indices)
 
         yield1 = np.empty(indices.size)
         std1 = np.empty(indices.size)

@@ -61,7 +61,7 @@ Request kinds
 
 from __future__ import annotations
 
-from ..errors import WorkloadError
+from ..errors import ReproError, WorkloadError
 from ..workload import (Workload, lint_workload_from_source,
                         ota_corner_workload, ota_estimate_workload,
                         ota_rare_workload, ota_surrogate_workload)
@@ -103,6 +103,17 @@ def workload_from_request(request: dict) -> Workload:
         -- raised *here*, at the submission boundary, so a bad request
         never occupies a worker.
     """
+    try:
+        return _build_workload(request)
+    except WorkloadError:
+        raise
+    except (ReproError, ValueError, TypeError) as error:
+        # A config bound, an unparsable netlist or an uncoercible field
+        # (``int(None)``) is as malformed as an unknown field.
+        raise WorkloadError(f"malformed request: {error}") from None
+
+
+def _build_workload(request: dict) -> Workload:
     if not isinstance(request, dict):
         raise WorkloadError(f"request must be a JSON object, "
                             f"got {type(request).__name__}")

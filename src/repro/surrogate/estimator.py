@@ -42,6 +42,7 @@ import numpy as np
 
 from ..errors import SurrogateError
 from ..mc.engine import MCConfig, monte_carlo
+from ..mc.lanes import check_chunk_lanes
 from ..mc.sampler import erf, latin_hypercube_normal, stream
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit
@@ -117,6 +118,10 @@ class SurrogateConfig:
     backend: object = None
     workers: int = 0
     chunk_lanes: int = 4000
+
+    def __post_init__(self) -> None:
+        check_chunk_lanes(self.chunk_lanes, "SurrogateConfig.chunk_lanes",
+                          SurrogateError)
 
 
 @dataclass

@@ -33,7 +33,8 @@ import numpy as np
 from .. import telemetry
 from ..errors import SurrogateError
 from ..exec import resolve_backend
-from ..mc.sampler import child_streams, latin_hypercube_normal, stream
+from ..mc.lanes import evaluate_sigma_lanes
+from ..mc.sampler import latin_hypercube_normal, stream
 from ..process.pdk import GLOBAL_DIMS, ProcessKit
 from .regression import (SURROGATE_KINDS, PolynomialSurrogate, RBFSurrogate,
                          fit_surrogate)
@@ -58,8 +59,8 @@ def evaluate_sigma_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
         Sigma-unit coordinates, shape ``(N, len(GLOBAL_DIMS))``.
     seed, stage:
         Root seed and stage key of the per-chunk mismatch streams
-        (unused randomness when ``include_mismatch`` is false, but the
-        chunk geometry is identical either way).
+        (unused when ``include_mismatch`` is false; the chunk geometry
+        is identical either way).
     backend, workers, chunk_lanes:
         Chunking and execution exactly as in
         :class:`repro.mc.engine.MCConfig`.
@@ -73,28 +74,12 @@ def evaluate_sigma_batch(evaluator, pdk: ProcessKit, x: np.ndarray, *,
         raise SurrogateError(
             f"sigma batch must have shape (N, {len(GLOBAL_DIMS)}), "
             f"got {x.shape}")
-    total = x.shape[0]
-    lanes = max(1, chunk_lanes)
-    n_chunks = max(1, (total + lanes - 1) // lanes)
-    rngs = child_streams(seed, stage, n_chunks)
-    bounds = [(i * lanes, min((i + 1) * lanes, total), rngs[i])
-              for i in range(n_chunks)]
-
-    def run_chunk(task):
-        start, stop, rng = task
-        sample = pdk.sample_from_sigma(
-            x[start:stop], rng=rng if include_mismatch else None,
-            include_mismatch=include_mismatch)
-        performance = evaluator(sample)
-        return {name: np.asarray(values, dtype=float).reshape(-1)
-                for name, values in performance.items()}
-
-    with telemetry.span("surrogate.batch", stage=stage, samples=total,
-                        chunks=len(bounds)):
-        telemetry.counter_add("surrogate.evaluations", total)
-        parts = resolve_backend(backend, workers).run(run_chunk, bounds)
-    return {name: np.concatenate([part[name] for part in parts])
-            for name in parts[0]}
+    with telemetry.span("surrogate.batch", stage=stage, samples=x.shape[0]):
+        telemetry.counter_add("surrogate.evaluations", x.shape[0])
+        return evaluate_sigma_lanes(
+            evaluator, pdk, x, seed=seed, stage=stage,
+            include_mismatch=include_mismatch, chunk_lanes=chunk_lanes,
+            backend=resolve_backend(backend, workers))
 
 
 class SurrogateBundle:

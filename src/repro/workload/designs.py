@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..cache import canonicalize, fingerprint_key
-from ..errors import ReproError, WorkloadError, YieldModelError
+from ..errors import WorkloadError
 from ..mc.engine import MCConfig
+from ..mc.lanes import check_chunk_lanes
 from ..mc.streaming import AdaptiveStop
 from ..measure.specs import Spec, SpecSet
 from ..process import C35
@@ -192,17 +193,12 @@ def ota_rare_workload(design, *, n_per_level: int = 2000,
     kit = resolve_pdk(pdk)
     spec_set = _specs_from_request(specs if specs is not None
                                    else DEFAULT_OTA_SPECS)
-    try:
-        config = RareEventConfig(
-            n_per_level=int(n_per_level), max_levels=int(max_levels),
-            level_quantile=float(level_quantile), n_final=int(n_final),
-            seed=int(seed), max_shift_sigma=float(max_shift_sigma),
-            include_mismatch=bool(include_mismatch),
-            confidence=float(confidence), chunk_lanes=int(chunk_lanes))
-    except YieldModelError as error:
-        # Config bounds are request errors: surface them at the
-        # submission boundary like every other malformed field.
-        raise WorkloadError(str(error)) from None
+    config = RareEventConfig(
+        n_per_level=int(n_per_level), max_levels=int(max_levels),
+        level_quantile=float(level_quantile), n_final=int(n_final),
+        seed=int(seed), max_shift_sigma=float(max_shift_sigma),
+        include_mismatch=bool(include_mismatch),
+        confidence=float(confidence), chunk_lanes=int(chunk_lanes))
     return RareEventWorkload(
         ota_reference_evaluator(reference, pdk=kit, cl=cl, ibias=ibias),
         kit, spec_set, config,
@@ -225,13 +221,10 @@ def ota_corner_workload(design, *, corners: str = "all", vdds: str = "",
     from ..corners.grid import CornerGrid
     reference = _reference_from_design(design)
     kit = resolve_pdk(pdk)
-    try:
-        grid = CornerGrid.from_spec(kit, str(corners), str(vdds),
-                                    str(temps))
-    except ReproError as error:
-        # Bad grid specs are request errors: surface them at the
-        # submission boundary like every other malformed field.
-        raise WorkloadError(str(error)) from None
+    grid = CornerGrid.from_spec(kit, str(corners), str(vdds), str(temps))
+    if int(chunk_lanes) < 0:
+        raise WorkloadError(
+            f"chunk_lanes must be >= 0 (0 = whole grid), got {chunk_lanes}")
     return CornerSweepWorkload(
         ota_points_evaluator(reference[None, :], pdk=kit, cl=cl,
                              ibias=ibias),
@@ -258,6 +251,7 @@ def ota_surrogate_workload(design, *, n_train: int = 96, seed: int = 2008,
             f"(known: {', '.join(sorted(SURROGATE_KINDS))})")
     if int(n_train) < 2:
         raise WorkloadError("n_train must be >= 2")
+    check_chunk_lanes(int(chunk_lanes), "chunk_lanes", WorkloadError)
     return SurrogateTrainWorkload(
         ota_reference_evaluator(reference, pdk=kit, cl=cl, ibias=ibias),
         kit, n_train=int(n_train), seed=int(seed),

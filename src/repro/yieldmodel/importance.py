@@ -46,19 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import telemetry
-from ..mc.sampler import stream
+from ..exec import SerialBackend
+from ..mc.lanes import plan_lanes, run_lanes
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit, ProcessSample
 from .estimator import YieldEstimate, normal_interval
 
 __all__ = ["ImportanceSamplingConfig", "ImportanceSamplingEstimate",
-           "estimate_yield_importance", "global_sigmas", "shifted_sample"]
-
-
-def global_sigmas(pdk: ProcessKit) -> np.ndarray:
-    """1-sigma scales of the PDK's global parameters, :data:`GLOBAL_DIMS`
-    order (alias of :meth:`repro.process.ProcessKit.global_sigmas`)."""
-    return pdk.global_sigmas()
+           "estimate_yield_importance", "shifted_sample"]
 
 
 @dataclass(frozen=True)
@@ -171,23 +166,19 @@ class ImportanceSamplingEstimate:
                 f"  proposal shift: {shift}")
 
 
-def _draw_shifted(pdk: ProcessKit, size: int, rng: np.random.Generator,
-                  shift: np.ndarray, include_mismatch: bool
-                  ) -> tuple[ProcessSample, np.ndarray, np.ndarray]:
-    """Proposal draw returning ``(sample, weights, x)``.
+def _shifted_sigmas(rng: np.random.Generator, size: int,
+                    shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma coordinates from ``N(shift, I)`` with their exact likelihood
+    ratios ``N(x; 0, I) / N(x; shift, I)``.
 
-    ``x`` are the raw standard-normal-frame draws (sigma units, before
-    the PDK's -4-sigma positivity clip), which the pilot stage feeds to
-    the mean-shift construction without a lossy round-trip through the
-    clipped natural-unit values.
+    ``x`` is in the standard-normal frame, before the PDK's -4-sigma
+    positivity clip, so the pilot feeds it to the mean-shift
+    construction without a lossy round-trip through clipped values.
     """
     x = shift[None, :] + rng.normal(size=(size, len(GLOBAL_DIMS)))
     # log[N(x;0,I)/N(x;mu,I)] = sum_j mu_j * (mu_j - 2 x_j) / 2
     log_weights = 0.5 * np.sum(shift * (shift - 2.0 * x), axis=1)
-    weights = np.exp(log_weights)
-    sample = pdk.sample_from_sigma(x, rng=rng,
-                                   include_mismatch=include_mismatch)
-    return sample, weights, x
+    return x, np.exp(log_weights)
 
 
 def shifted_sample(pdk: ProcessKit, size: int, rng: np.random.Generator,
@@ -210,9 +201,9 @@ def shifted_sample(pdk: ProcessKit, size: int, rng: np.random.Generator,
     shift = np.asarray(shift_sigma, dtype=float)
     if shift.shape != (len(GLOBAL_DIMS),):
         raise ValueError(f"shift must have shape ({len(GLOBAL_DIMS)},)")
-    sample, weights, _ = _draw_shifted(pdk, size, rng, shift,
-                                       include_mismatch)
-    return sample, weights
+    x, weights = _shifted_sigmas(rng, size, shift)
+    return pdk.sample_from_sigma(x, rng=rng,
+                                 include_mismatch=include_mismatch), weights
 
 
 def _aggregate_margin(performance: dict[str, np.ndarray],
@@ -239,6 +230,31 @@ def _mean_shift(x_pilot: np.ndarray, fail_mask: np.ndarray,
         centroid = x_pilot[tail].mean(axis=0)
     limit = config.max_shift_sigma
     return np.clip(centroid, -limit, limit)
+
+
+def _population(evaluator, pdk: ProcessKit,
+                config: ImportanceSamplingConfig, stage: str, size: int,
+                shift: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Draw and evaluate one proposal population: ``(x, weights,
+    performance)``.
+
+    The population is a one-task lane plan on the serial backend, so its
+    lanes are counted like every other path's.  The task's stream
+    ``(seed, stage)`` first draws the sigma coordinates, then the
+    mismatch, exactly as a single shifted draw would.
+    """
+    plan = plan_lanes(size, size, seed=config.seed, stage=stage,
+                      single_stream=True)
+    (_, _, rng), = plan.tasks
+    x, weights = _shifted_sigmas(rng, size, shift)
+
+    def run_task(task):
+        _, _, task_rng = task  # the stream x was drawn from, continued
+        return evaluator(pdk.sample_from_sigma(
+            x, rng=task_rng, include_mismatch=config.include_mismatch))
+
+    return x, weights, run_lanes(plan, run_task, SerialBackend())
 
 
 def estimate_yield_importance(evaluator, specs: SpecSet,
@@ -269,25 +285,17 @@ def estimate_yield_importance(evaluator, specs: SpecSet,
     # Pilot: plain (unshifted) draw to locate the failure direction.
     with telemetry.span("yield.importance.pilot",
                         samples=config.pilot_samples):
-        pilot_rng = stream(config.seed, "is-pilot")
-        zero = np.zeros(len(GLOBAL_DIMS))
-        pilot_sample, _, x_pilot = _draw_shifted(
-            pdk, config.pilot_samples, pilot_rng, zero,
-            config.include_mismatch)
-        pilot_perf = {name: np.asarray(values, dtype=float).reshape(-1)
-                      for name, values in evaluator(pilot_sample).items()}
+        x_pilot, _, pilot_perf = _population(
+            evaluator, pdk, config, "is-pilot", config.pilot_samples,
+            np.zeros(len(GLOBAL_DIMS)))
         pilot_fail = ~specs.pass_mask(pilot_perf)
         margins = _aggregate_margin(pilot_perf, specs)
         shift = _mean_shift(x_pilot, pilot_fail, margins, config)
 
     # Main run: shifted proposal + likelihood-ratio reweighting.
     with telemetry.span("yield.importance.main", samples=config.n_samples):
-        main_rng = stream(config.seed, "is-main")
-        sample, weights = shifted_sample(
-            pdk, config.n_samples, main_rng, shift,
-            include_mismatch=config.include_mismatch)
-        performance = {name: np.asarray(values, dtype=float).reshape(-1)
-                       for name, values in evaluator(sample).items()}
+        _, weights, performance = _population(
+            evaluator, pdk, config, "is-main", config.n_samples, shift)
         fail = ~specs.pass_mask(performance)
 
     contributions = weights * fail

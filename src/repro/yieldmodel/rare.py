@@ -58,17 +58,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .. import telemetry
 from ..errors import YieldModelError
 from ..exec import resolve_backend
-from ..mc.sampler import child_streams, stream
+from ..mc.lanes import check_chunk_lanes, evaluate_sigma_lanes
+from ..mc.sampler import stream
 from ..measure.specs import SpecSet
 from ..process.pdk import GLOBAL_DIMS, ProcessKit
 from .estimator import _erfinv, normal_interval, z_value
-from .importance import _aggregate_margin
+from .importance import _aggregate_margin, _shifted_sigmas
 
 __all__ = ["RareEventConfig", "RareLevel", "RareEventResult",
            "estimate_yield_rare", "equivalent_sigma",
@@ -178,8 +180,7 @@ class RareEventConfig:
                 "level_quantile must lie in (0, 1)")
         if self.max_shift_sigma <= 0.0:
             raise YieldModelError("max_shift_sigma must be positive")
-        if self.chunk_lanes < 1:
-            raise YieldModelError("chunk_lanes must be >= 1")
+        check_chunk_lanes(self.chunk_lanes, "chunk_lanes", YieldModelError)
 
 
 @dataclass(frozen=True)
@@ -330,56 +331,24 @@ class RareEventResult:
         return "\n".join(lines)
 
 
-def _chunk_margins(evaluator, specs: SpecSet, pdk: ProcessKit,
-                   x: np.ndarray, *, config: RareEventConfig,
-                   stage: str, progress=None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate margins + fail mask of sigma coordinates ``x``, chunked.
+def _level_failures(evaluator, specs: SpecSet, pdk: ProcessKit,
+                    x: np.ndarray, *, config: RareEventConfig, stage: str,
+                    progress=None) -> tuple[np.ndarray, np.ndarray]:
+    """Margins and fail mask of sigma coordinates ``x``, lane-planned.
 
-    The chunk sweep runs on the configured :mod:`repro.exec` backend;
-    with mismatch enabled each chunk owns a private derived stream
-    (``(seed, "<stage>-mismatch")`` child ``i``), so results are
-    bit-identical across backends and worker counts -- the mismatch
-    draw never crosses a chunk boundary.
+    With mismatch enabled, chunk ``i`` draws its mismatch from child
+    ``i`` of ``(seed, "<stage>-mismatch")``, so results are
+    bit-identical across backends and worker counts.
     """
-    total = x.shape[0]
-    lanes = config.chunk_lanes
-    n_chunks = max(1, (total + lanes - 1) // lanes)
-    if config.include_mismatch:
-        rngs = child_streams(config.seed, f"{stage}-mismatch", n_chunks)
-    else:
-        rngs = [None] * n_chunks
-    bounds = [(i * lanes, min((i + 1) * lanes, total), rngs[i])
-              for i in range(n_chunks)]
-
-    def run_chunk(task):
-        start, stop, rng = task
-        sample = pdk.sample_from_sigma(
-            x[start:stop], rng=rng,
-            include_mismatch=config.include_mismatch)
-        performance = {name: np.asarray(values, dtype=float).reshape(-1)
-                       for name, values in evaluator(sample).items()}
-        fail = ~specs.pass_mask(performance)
-        margins = _aggregate_margin(performance, specs)
-        return margins, fail
-
-    backend = resolve_backend(config.backend, config.workers)
-    on_done = None
-    if progress is not None:
-        def on_done(done, total_tasks, index):
-            progress(stage, done, total_tasks)
-    parts = backend.run(run_chunk, bounds, progress=on_done)
-    return (np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]))
-
-
-def _draw_level(rng: np.random.Generator, size: int,
-                shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Draw sigma coordinates from ``N(shift, I)`` with their exact
-    likelihood ratios ``N(x; 0, I) / N(x; shift, I)``."""
-    x = shift[None, :] + rng.normal(size=(size, len(GLOBAL_DIMS)))
-    log_weights = 0.5 * np.sum(shift * (shift - 2.0 * x), axis=1)
-    return x, np.exp(log_weights)
+    on_chunk = None if progress is None else partial(progress, stage)
+    performance = evaluate_sigma_lanes(
+        evaluator, pdk, x, seed=config.seed, stage=f"{stage}-mismatch",
+        include_mismatch=config.include_mismatch,
+        chunk_lanes=config.chunk_lanes,
+        backend=resolve_backend(config.backend, config.workers),
+        progress=on_chunk)
+    return (_aggregate_margin(performance, specs),
+            ~specs.pass_mask(performance))
 
 
 def estimate_yield_rare(evaluator, specs: SpecSet, pdk: ProcessKit,
@@ -413,12 +382,12 @@ def estimate_yield_rare(evaluator, specs: SpecSet, pdk: ProcessKit,
     converged = False
     for index in range(config.max_levels):
         rng = stream(config.seed, f"rare-level-{index}")
-        x, _ = _draw_level(rng, config.n_per_level, shift)
+        x, _ = _shifted_sigmas(rng, config.n_per_level, shift)
         with telemetry.span("rare.level", index=index,
                             samples=config.n_per_level):
             telemetry.counter_add("estimator.simulations",
                                   config.n_per_level)
-            margins, fail = _chunk_margins(
+            margins, fail = _level_failures(
                 evaluator, specs, pdk, x, config=config,
                 stage=f"rare-level-{index}", progress=progress)
         threshold = max(
@@ -450,11 +419,11 @@ def estimate_yield_rare(evaluator, specs: SpecSet, pdk: ProcessKit,
     # so the shift is fixed by independent randomness and the weighted
     # estimator below is exactly unbiased.
     rng = stream(config.seed, "rare-final")
-    x, weights = _draw_level(rng, config.n_final, shift)
+    x, weights = _shifted_sigmas(rng, config.n_final, shift)
     with telemetry.span("rare.final", samples=config.n_final,
                         levels=len(levels)):
         telemetry.counter_add("estimator.simulations", config.n_final)
-        _, fail = _chunk_margins(
+        _, fail = _level_failures(
             evaluator, specs, pdk, x, config=config,
             stage="rare-final", progress=progress)
     contributions = weights * fail

@@ -21,9 +21,8 @@ hand-tuned magic constants.  This module provides:
 
 * **CI-derived tolerances**: half-widths of the sampling distribution
   of a proportion (:func:`binomial_halfwidth`), a mean
-  (:func:`mean_halfwidth`, :func:`assert_mean_close`), a sample
-  quantile (:func:`quantile_halfwidth`), and the noise-reduction ratio
-  of the front smoother (:func:`smoothed_noise_ratio_bound`), all at a
+  (:func:`mean_halfwidth`, :func:`assert_mean_close`), and the
+  noise-reduction ratio of the front smoother (:func:`smoothed_noise_ratio_bound`), all at a
   configurable confidence (default 99.9 %, so a correct estimator
   flakes ~once per thousand reruns per assertion, and tightening the
   sample count tightens the assertion automatically).
@@ -42,7 +41,6 @@ from repro.yieldmodel import z_value
 
 __all__ = ["DEFAULT_CONFIDENCE", "normal_cdf", "normal_tail",
            "binomial_halfwidth", "mean_halfwidth", "assert_mean_close",
-           "quantile_halfwidth", "normal_quantile_halfwidth",
            "smoothed_noise_ratio_bound", "intervals_overlap",
            "linear_gaussian_problem", "LinearGaussianProblem"]
 
@@ -108,39 +106,6 @@ def assert_mean_close(values, truth: float, *,
         f"{label} {estimate:.6g} is {abs(estimate - truth):.3g} from the "
         f"exact value {truth:.6g}, beyond the {confidence:.1%} CI "
         f"half-width {tolerance:.3g} (n={values.size})")
-
-
-def quantile_halfwidth(q: float, n: int, density_at_quantile: float,
-                       confidence: float = DEFAULT_CONFIDENCE) -> float:
-    """Asymptotic CI half-width of an ``n``-sample ``q``-quantile.
-
-    The sample quantile's sampling std is
-    ``sqrt(q (1 - q) / n) / f(F^-1(q))`` (Bahadur); callers supply the
-    density at the true quantile.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
-    if density_at_quantile <= 0.0:
-        raise ValueError("density_at_quantile must be positive")
-    return (z_value(confidence) * math.sqrt(q * (1.0 - q) / n)
-            / density_at_quantile)
-
-
-def normal_quantile_halfwidth(q: float, n: int,
-                              confidence: float = DEFAULT_CONFIDENCE
-                              ) -> float:
-    """:func:`quantile_halfwidth` for a standard normal stream."""
-    # Invert Phi via bisection on the exact CDF -- no scipy dependency.
-    lo, hi = -10.0, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    x_q = 0.5 * (lo + hi)
-    density = math.exp(-0.5 * x_q * x_q) / math.sqrt(2.0 * math.pi)
-    return quantile_halfwidth(q, n, density, confidence)
 
 
 def smoothed_noise_ratio_bound(n: int, window: int,

@@ -41,6 +41,7 @@ FIXTURES = REPO_ROOT / "tests" / "reprolint_fixtures"
 #: fixture name -> rule id every finding in it must carry
 BAD_FIXTURES = {
     "bad_rng": "rng-discipline",
+    "bad_lane_plan": "lane-plan",
     "bad_fingerprint_determinism": "fingerprint-determinism",
     "bad_fingerprint_completeness": "fingerprint-completeness",
     "bad_lock": "lock-discipline",
@@ -50,7 +51,7 @@ BAD_FIXTURES = {
 }
 
 GOOD_FIXTURES = [
-    "good_rng", "good_fingerprint_determinism",
+    "good_rng", "good_lane_plan", "good_fingerprint_determinism",
     "good_fingerprint_completeness", "good_lock", "good_telemetry",
     "good_error", "good_suppression",
 ]

@@ -318,6 +318,33 @@ class TestRequests:
             with pytest.raises(WorkloadError, match=match):
                 workload_from_request(request)
 
+    @pytest.mark.parametrize("kind", ["estimate", "rare", "corners",
+                                      "surrogate"])
+    @pytest.mark.parametrize("chunk_lanes", [-3, 0])
+    def test_bad_chunk_lanes_rejected_at_submission(self, kind, chunk_lanes):
+        # Corners document 0 as "the whole grid"; every other kind needs
+        # a lane bound of at least one.
+        request = {"kind": kind, "design": DESIGN, "chunk_lanes": chunk_lanes}
+        if kind == "corners" and chunk_lanes == 0:
+            assert workload_from_request(request).kind == "corner-sweep"
+            return
+        with pytest.raises(WorkloadError, match="chunk_lanes must be >="):
+            workload_from_request(request)
+
+    @pytest.mark.parametrize("request_dict", [
+        {"kind": "estimate", "n_samples": None},
+        {"kind": "estimate", "seed": "abc"},
+        {"kind": "estimate", "adaptive_ci": 0.1, "check_every": 0},
+        {"kind": "rare", "level_quantile": [0.5]},
+        {"kind": "surrogate", "n_train": {}},
+        {"kind": "lint", "netlist": "R1 only_one_node\n.end\n"},
+    ])
+    def test_malformed_parameters_raise_workload_error(self, request_dict):
+        if request_dict["kind"] != "lint":
+            request_dict = dict(request_dict, design=DESIGN)
+        with pytest.raises(WorkloadError, match="malformed request"):
+            workload_from_request(request_dict)
+
     def test_rare_request_round_trips_through_cache(self, tmp_path):
         from repro.cache import ResultCache
         request = {"kind": "rare", "design": DESIGN, "n_per_level": 48,
@@ -425,6 +452,28 @@ class TestDaemon:
         assert "unknown request kind" in status["error"]
         request_stop(tmp_path)
         thread.join(timeout=30)
+
+    def test_bad_parameter_fails_its_job_not_the_daemon(self, tmp_path):
+        # A config bound (MCConfig's chunk_lanes) or an unparsable
+        # netlist must fail only its own job; the files leave the queue
+        # and the next request still completes.
+        queue = tmp_path / "queue"
+        queue.mkdir(parents=True)
+        (queue / "job-bad.json").write_text(json.dumps(
+            {"kind": "estimate", "design": DESIGN, "chunk_lanes": 0}))
+        (queue / "job-badnet.json").write_text(json.dumps(
+            {"kind": "lint", "netlist": "R1 only_one_node\n.end\n"}))
+        thread, _ = self.serve_in_thread(tmp_path)
+        status = self.wait_for_state(tmp_path, "job-bad", ("failed",))
+        assert "chunk_lanes" in status["error"]
+        status = self.wait_for_state(tmp_path, "job-badnet", ("failed",))
+        assert "needs 2 nodes" in status["error"]
+        good = submit_request(tmp_path, LINT_REQUEST)
+        self.wait_for_state(tmp_path, good, ("done",))
+        assert list(queue.glob("job-bad*.json")) == []
+        request_stop(tmp_path)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
 
     def test_client_side_validation(self, tmp_path):
         with pytest.raises(WorkloadError, match="design"):

@@ -13,6 +13,9 @@ id                          severity  enforces
 ``rng-discipline``          error     all randomness flows through the
                                       seeded ``repro.mc.sampler``
                                       stream helpers
+``lane-plan``               error     per-chunk child streams come only
+                                      from the lane plan
+                                      (``repro.mc.lanes``)
 ``fingerprint-determinism`` error     no wall clock / uuid / urandom /
                                       unsorted JSON in fingerprinted
                                       paths
@@ -195,6 +198,36 @@ def _check_rng_discipline(ctx: ModuleContext) -> Iterator[Finding]:
                     hint="pass an explicit seed or SeedSequence "
                          "(repro.mc.sampler.stream derives one from "
                          "(seed, key))")
+
+
+# ---------------------------------------------------------------------------
+# lane-plan
+# ---------------------------------------------------------------------------
+
+#: The modules that may derive per-chunk child streams: the sampler that
+#: defines them and the lane plan that owns every chunk loop.
+_LANE_PLAN_MODULES = ("repro/mc/sampler.py", "repro/mc/lanes.py")
+
+
+@rule("lane-plan", "error",
+      "per-chunk child streams are derived only by the lane plan")
+def _check_lane_plan(ctx: ModuleContext) -> Iterator[Finding]:
+    if ctx.relpath.endswith(_LANE_PLAN_MODULES):
+        return
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Call) \
+                and ctx.dotted(node.func).rpartition(".")[2] \
+                == "child_streams":
+            yield ctx.finding(
+                "lane-plan", "error",
+                "child_streams() outside the lane plan: a hand-rolled "
+                "chunk loop re-derives the chunk bounds, streams, "
+                "dispatch and mc.chunk/mc.lanes telemetry that "
+                "repro.mc.lanes owns",
+                node,
+                hint="plan with repro.mc.lanes.plan_lanes and run with "
+                     "run_lanes / lane_parts (sigma coordinates: "
+                     "evaluate_sigma_lanes)")
 
 
 # ---------------------------------------------------------------------------
